@@ -130,6 +130,17 @@ fn cycles_per_sec(sim: &mut NetworkSim, traffic: &TrafficMatrix) -> f64 {
     rates[rates.len() / 2]
 }
 
+/// `v` with four significant digits, so slow rows (a few kcycles/s, or a
+/// 0.004x speedup) do not print as `0.00`.
+fn sig4(v: f64) -> String {
+    let decimals = if v > 0.0 {
+        (3 - v.log10().floor() as i32).max(0) as usize
+    } else {
+        0
+    };
+    format!("{v:.decimals$}")
+}
+
 fn main() {
     let scenarios: Vec<(&str, NetworkSim, f64)> = {
         let (sw_topo, sw_overlay, sw_table) = small_world();
@@ -217,7 +228,10 @@ fn main() {
         for (point, rate) in [("low", 0.005), ("saturation", saturation_rate)] {
             let tm = TrafficMatrix::uniform(n, rate);
             let cps = cycles_per_sec(&mut sim, &tm);
-            println!("{name}/{point:<12} {:>9.2} simulated Mcycles/s", cps / 1e6);
+            println!(
+                "{name}/{point:<12} {:>9} simulated Mcycles/s",
+                sig4(cps / 1e6)
+            );
             results.push((format!("{name}/{point}"), cps));
         }
 
@@ -231,8 +245,8 @@ fn main() {
         let tm = TrafficMatrix::uniform(n, saturation_rate);
         let cps_h = cycles_per_sec(&mut sim, &tm);
         println!(
-            "{name}/sat_hinted   {:>9.2} simulated Mcycles/s",
-            cps_h / 1e6
+            "{name}/sat_hinted   {:>9} simulated Mcycles/s",
+            sig4(cps_h / 1e6)
         );
         results.push((format!("{name}/saturation_hinted"), cps_h));
         sim.set_steady_period_hint(None);
@@ -249,9 +263,9 @@ fn main() {
             .find(|(k, _)| k == &format!("{name}/saturation"))
             .map_or(cps4, |&(_, v)| v);
         println!(
-            "{name}/threads4     {:>9.2} simulated Mcycles/s ({:.2}x vs 1 thread)",
-            cps4 / 1e6,
-            cps4 / serial
+            "{name}/threads4     {:>9} simulated Mcycles/s ({}x vs 1 thread)",
+            sig4(cps4 / 1e6),
+            sig4(cps4 / serial)
         );
         results.push((format!("{name}/threads4"), cps4));
     }

@@ -130,14 +130,29 @@ impl DesignFlow {
     }
 
     /// Runs the Fig. 3 flow for `app`.
+    ///
+    /// Step 1 profiles the workload on the NVFI mesh ([`Self::nvfi_spec`]);
+    /// [`crate::orchestrator::design_cached`] takes that run from the run
+    /// cache instead, where it doubles as the NVFI baseline.
     pub fn design(&self, app: App) -> Design {
         let _span = mapwave_harness::telemetry::span_labeled("core.design", app.name());
         let cfg = &self.cfg;
         let workload = app.workload(cfg.scale, cfg.seed, cfg.cores());
 
         // Step 1: compute the V/F design parameters on the non-VFI system.
-        let profile =
-            crate::system::run_system(&self.nvfi_spec(), &workload, cfg, &self.power).exec;
+        let profile = crate::system::run_system(&self.nvfi_spec(), &workload, cfg, &self.power);
+        self.design_with_profile(app, workload, profile.exec)
+    }
+
+    /// Steps 2–5 of the Fig. 3 flow for `app`, given its `workload` and the
+    /// execution of that workload on [`Self::nvfi_spec`] (step 1).
+    pub fn design_with_profile(
+        &self,
+        app: App,
+        workload: AppWorkload,
+        profile: ExecutionReport,
+    ) -> Design {
+        let cfg = &self.cfg;
 
         // Step 2: VFI clustering (Eq. 1).
         let n = cfg.cores();
@@ -192,7 +207,7 @@ impl DesignFlow {
     /// one V/F assignment (homogeneous assignments keep the default).
     fn choose_steal(
         &self,
-        workload: &mapwave_phoenix::workload::AppWorkload,
+        workload: &AppWorkload,
         clustering: &Clustering,
         vf: &VfAssignment,
     ) -> StealPolicy {

@@ -17,6 +17,10 @@
 //!    island levels to honour the cap (see the `mapwave-governor` crate
 //!    docs for the control law).
 //!
+//! [`govern`] is steps 2–3 alone, for callers that already hold the
+//! static run: a fault-free one is the uncapped run of the same spec, so
+//! the sweep engine takes it from the run cache instead of re-simulating.
+//!
 //! Measured utilization in the replay never rises epoch-over-epoch (a
 //! core's duty cycle is constant until its work drains, then zero), and
 //! core power is monotone in utilization, so a plan whose projection
@@ -131,7 +135,8 @@ pub fn run_system_governed(
     power: &CorePowerModel,
     governor: &GovernorConfig,
 ) -> GovernedRunReport {
-    governed_inner(spec, workload, cfg, power, governor, None)
+    let base = run_system_inner(spec, workload, cfg, power, None);
+    govern(base, spec, cfg, power, governor, None)
 }
 
 /// [`run_system_governed`] with the deterministic fault model live. The
@@ -147,12 +152,29 @@ pub fn run_system_governed_with_faults(
     governor: &GovernorConfig,
     plan: &FaultPlan,
 ) -> GovernedRunReport {
-    governed_inner(spec, workload, cfg, power, governor, Some(plan))
+    let base = run_system_inner(spec, workload, cfg, power, Some(plan));
+    govern(base, spec, cfg, power, governor, Some(plan))
 }
 
-fn governed_inner(
+/// The governor's epoch replay of an already measured static run: the
+/// second half of [`run_system_governed`] /
+/// [`run_system_governed_with_faults`], for callers that hold `base`
+/// already.
+///
+/// `base` must be the run of `spec` under `cfg` and `power` with fault
+/// plan `faults` (`None` for a plan-less run, whose
+/// [`FaultRunReport::faults`] are all zero). A fault-free `base` is
+/// exactly the [`run_system`] report of the same inputs, so it can come
+/// from the run cache.
+///
+/// # Panics
+///
+/// As [`run_system_governed`].
+///
+/// [`run_system`]: crate::system::run_system
+pub fn govern(
+    base: FaultRunReport,
     spec: &SystemSpec,
-    workload: &AppWorkload,
     cfg: &PlatformConfig,
     power: &CorePowerModel,
     governor: &GovernorConfig,
@@ -160,7 +182,6 @@ fn governed_inner(
 ) -> GovernedRunReport {
     let _span = mapwave_harness::telemetry::span_labeled("core.run_governed", spec.label.clone());
     governor.validate().expect("valid governor config");
-    let base = run_system_inner(spec, workload, cfg, power, faults);
     let exec = &base.report.exec;
     let table = &cfg.vf_table;
     let n = cfg.cores();

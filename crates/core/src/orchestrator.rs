@@ -23,25 +23,10 @@
 
 use crate::config::{PlacementStrategy, PlatformConfig};
 use crate::design_flow::{Design, DesignFlow, VfStage};
-use crate::system::{run_system, FaultRunReport, RunReport};
+use crate::system::{run_system, RunReport};
 use mapwave_harness::cache::{CacheStats, StageCache};
 use mapwave_harness::hash::{CacheKey, StableHash, StableHasher};
 use mapwave_phoenix::apps::App;
-
-/// A destination for freshly computed stage outputs — the hook through
-/// which a persistent sweep store (e.g. `mapwave-sweep`'s content-addressed
-/// artifact store) captures reports as the orchestrator produces them.
-///
-/// Implementations must be cheap and infallible from the caller's point of
-/// view: a sink that cannot persist should log/count and move on, never
-/// panic the evaluation. Sinks are only notified on *fresh* computations —
-/// cache hits were already recorded when first computed.
-pub trait ArtifactSink: Sync {
-    /// A fault-free [`RunReport`] was computed under `key`.
-    fn record_run(&self, key: CacheKey, report: &RunReport);
-    /// A [`FaultRunReport`] was computed under `key`.
-    fn record_fault_run(&self, key: CacheKey, report: &FaultRunReport);
-}
 
 impl StableHash for PlacementStrategy {
     fn stable_hash(&self, h: &mut StableHasher) {
@@ -164,37 +149,36 @@ fn run_key(cfg_key: CacheKey, app: App, variant: RunVariant) -> CacheKey {
 
 /// The design for `app` under `flow`'s configuration, computed once per
 /// `(config, app)` pair process-wide.
+///
+/// The flow's step-1 profile is the NVFI mesh run of the same workload, so
+/// it is taken from (and left in) the run cache under the
+/// [`RunVariant::Nvfi`] key: the baseline [`run_cached`] later asks for is
+/// a hit, not a second simulation.
 pub fn design_cached(flow: &DesignFlow, app: App) -> Design {
-    let key = design_key(config_key(flow.config()), app);
-    DESIGN_CACHE.get_or_insert_with(key, || flow.design(app))
+    let cfg_key = config_key(flow.config());
+    DESIGN_CACHE.get_or_insert_with(design_key(cfg_key, app), || {
+        let _span = mapwave_harness::telemetry::span_labeled("core.design", app.name());
+        let cfg = flow.config();
+        let workload = app.workload(cfg.scale, cfg.seed, cfg.cores());
+        let profile = RUN_CACHE.get_or_insert_with(run_key(cfg_key, app, RunVariant::Nvfi), || {
+            run_system(&flow.nvfi_spec(), &workload, cfg, flow.power())
+        });
+        flow.design_with_profile(app, workload, profile.exec)
+    })
 }
 
 /// The run report of one system variant, computed once per
 /// `(config, app, variant)` triple process-wide.
 pub fn run_cached(flow: &DesignFlow, design: &Design, variant: RunVariant) -> RunReport {
-    run_cached_with_sink(flow, design, variant, None)
-}
-
-/// [`run_cached`] with an optional [`ArtifactSink`] notified whenever the
-/// report had to be *computed* (a stage-cache hit was already recorded on
-/// its first computation and is not re-emitted).
-pub fn run_cached_with_sink(
-    flow: &DesignFlow,
-    design: &Design,
-    variant: RunVariant,
-    sink: Option<&dyn ArtifactSink>,
-) -> RunReport {
     let key = run_key(config_key(flow.config()), design.app, variant);
-    if let Some(hit) = RUN_CACHE.get(key) {
-        return hit;
-    }
-    let spec = variant.spec(flow, design);
-    let report = run_system(&spec, &design.workload, flow.config(), flow.power());
-    RUN_CACHE.insert(key, report.clone());
-    if let Some(sink) = sink {
-        sink.record_run(key, &report);
-    }
-    report
+    RUN_CACHE.get_or_insert_with(key, || {
+        run_system(
+            &variant.spec(flow, design),
+            &design.workload,
+            flow.config(),
+            flow.power(),
+        )
+    })
 }
 
 /// Hit/miss statistics of every stage cache, by stage name.

@@ -463,11 +463,13 @@ pub struct NetworkSim<'a> {
     stepped_cycles: u64,
     /// Cycles advanced by fast-forward in the last run (telemetry).
     ff_cycles: u64,
-    /// Stepped cycles whose switch work was replayed in closed form —
-    /// steady-state cycles where only injection sampling and token-MAC
-    /// rotation happened — plus drain cycles skipped after a periodic
-    /// fixpoint was proven (telemetry).
-    steady_cycles: u64,
+    /// Observably idle warmup/measure cycles consumed in closed form —
+    /// the in-step steady fast path and [`Self::steady_jump`], where only
+    /// injection sampling and token-MAC rotation happen (telemetry).
+    idle_cycles: u64,
+    /// Drain cycles skipped after a livelock (a periodic drain fixpoint)
+    /// was proven (telemetry).
+    livelock_cycles: u64,
     /// Shard tasks dispatched to the parallel sweep pool in the last run
     /// (telemetry).
     par_shards: u64,
@@ -741,7 +743,8 @@ impl<'a> NetworkSim<'a> {
             faults: None,
             stepped_cycles: 0,
             ff_cycles: 0,
-            steady_cycles: 0,
+            idle_cycles: 0,
+            livelock_cycles: 0,
             par_shards: 0,
             moves_last_step: 0,
             par_plan: None,
@@ -910,7 +913,8 @@ impl<'a> NetworkSim<'a> {
         self.next_due = u64::MAX;
         self.stepped_cycles = 0;
         self.ff_cycles = 0;
-        self.steady_cycles = 0;
+        self.idle_cycles = 0;
+        self.livelock_cycles = 0;
         self.par_shards = 0;
         self.moves_last_step = 0;
         self.detected_period = None;
@@ -1011,7 +1015,9 @@ impl<'a> NetworkSim<'a> {
         telemetry::count("noc.flits_delivered", self.stats.flits_delivered);
         telemetry::count("noc.cycles_simulated", self.stepped_cycles);
         telemetry::count("noc.cycles_fast_forwarded", self.ff_cycles);
-        telemetry::count("noc.cycles_steady_replayed", self.steady_cycles);
+        telemetry::count("noc.cycles_idle_skipped", self.idle_cycles);
+        telemetry::count("noc.cycles_livelock_replayed", self.livelock_cycles);
+        telemetry::count("noc.cycles_steady_replayed", self.steady_replayed_cycles());
         telemetry::count("noc.parallel_shards", self.par_shards);
         telemetry::count("noc.steady_hint_hits", self.hint_hits);
         telemetry::count("noc.steady_hint_rejected", self.hint_rejected);
@@ -1079,7 +1085,7 @@ impl<'a> NetworkSim<'a> {
                 if detector.observe(|out| self.steady_snapshot(out)) {
                     let rest = drain_limit - drained;
                     self.now += rest;
-                    self.steady_cycles += rest;
+                    self.livelock_cycles += rest;
                     self.detected_period = detector.period();
                     if detector.fired_via_hint() {
                         self.hint_hits += 1;
@@ -1141,7 +1147,7 @@ impl<'a> NetworkSim<'a> {
     /// Stepped cycles of the last run whose switch work was replayed in
     /// closed form (steady-state fast path + livelocked drain cycles).
     pub fn steady_replayed_cycles(&self) -> u64 {
-        self.steady_cycles
+        self.idle_cycles + self.livelock_cycles
     }
 
     /// Shard tasks the last run dispatched to the parallel sweep pool
@@ -1207,12 +1213,12 @@ impl<'a> NetworkSim<'a> {
 
     /// Closed-form replay of observably idle warmup/measure cycles: the
     /// same cycles the in-step steady fast path would consume one at a
-    /// time, credited to the same `steady_cycles` counter, with the idle
+    /// time, credited to the same `idle_cycles` counter, with the idle
     /// token-MAC rotation applied in one pass.
     fn steady_jump(&mut self, cycles: u64) {
         self.rotate_macs_idle(cycles);
         self.now += cycles;
-        self.steady_cycles += cycles;
+        self.idle_cycles += cycles;
         // What an idle step would have left behind.
         self.moves_last_step = 0;
     }
@@ -1295,7 +1301,7 @@ impl<'a> NetworkSim<'a> {
                 let holds = mac_holds_packet(&self.ports, &self.fabric, mac.holder());
                 mac.end_cycle(false, holds);
             }
-            self.steady_cycles += 1;
+            self.idle_cycles += 1;
             self.now += 1;
             return;
         }

@@ -25,10 +25,10 @@
 use std::io;
 
 use mapwave::design_flow::DesignFlow;
-use mapwave::governed::{run_system_governed, run_system_governed_with_faults};
-use mapwave::orchestrator::{design_cached, run_cached_with_sink, RunVariant};
-use mapwave::run_system_with_faults;
-use mapwave_faults::{CellFailureModel, FaultConfig, FaultPlan};
+use mapwave::governed::govern;
+use mapwave::orchestrator::{design_cached, run_cached, RunVariant};
+use mapwave::{run_system_with_faults, FaultRunReport};
+use mapwave_faults::{CellFailureModel, FaultConfig, FaultPlan, FaultStats};
 use mapwave_governor::GovernorConfig;
 use mapwave_harness::jobs::JobGraph;
 use mapwave_harness::telemetry;
@@ -299,27 +299,38 @@ fn attempt_cell(cell: &SweepCell, opts: &EngineOptions) -> Option<CellRecord> {
         fault_seed: cell.fault_seed,
     };
     if let Some(cap_w) = cell.power_cap_w {
-        // Governed cells replay the measured run under the power cap.
+        // Governed cells replay the measured run under the power cap. A
+        // fault-free cell's static run is its uncapped twin's, so it comes
+        // from the run cache; a faulted cell's plan is seeded by its own
+        // index, so its run is its own.
         let gov = GovernorConfig::new(cap_w).with_epoch_cycles(cell.epoch_cycles);
         let spec = cell.variant.spec(&flow, &design);
-        let report = if cell.fault_rate == 0.0 {
-            run_system_governed(&spec, &design.workload, flow.config(), flow.power(), &gov)
+        let (base, plan) = if cell.fault_rate == 0.0 {
+            let report = run_cached(&flow, &design, cell.variant);
+            let base = FaultRunReport {
+                report,
+                faults: FaultStats::default(),
+            };
+            (base, None)
         } else {
             let cfg =
                 FaultConfig::at_rate(cell.fault_rate, cell.fault_seed).for_cell(cell.index as u64);
             let plan = FaultPlan::build(&cfg);
-            run_system_governed_with_faults(
-                &spec,
-                &design.workload,
-                flow.config(),
-                flow.power(),
-                &gov,
-                &plan,
-            )
+            let base =
+                run_system_with_faults(&spec, &design.workload, flow.config(), flow.power(), &plan);
+            (base, Some(plan))
         };
+        let report = govern(
+            base,
+            &spec,
+            flow.config(),
+            flow.power(),
+            &gov,
+            plan.as_ref(),
+        );
         Some(CellRecord::from_governed(coords, &report))
     } else if cell.fault_rate == 0.0 {
-        let report = run_cached_with_sink(&flow, &design, cell.variant, None);
+        let report = run_cached(&flow, &design, cell.variant);
         Some(CellRecord::from_run(coords, &report))
     } else {
         // Faulted cells derive their plan from the sweep's root seed via
