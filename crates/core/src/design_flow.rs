@@ -23,6 +23,7 @@ use mapwave_noc::routing::RoutingTable;
 use mapwave_noc::topology::mesh::mesh;
 use mapwave_noc::topology::small_world::SmallWorldBuilder;
 use mapwave_noc::topology::wireless::WirelessOverlay;
+use mapwave_noc::topology::Topology;
 use mapwave_noc::NodeId;
 use mapwave_phoenix::apps::App;
 use mapwave_phoenix::stealing::StealPolicy;
@@ -237,8 +238,19 @@ impl DesignFlow {
     /// with the designed islands, a min-hop thread mapping, and the
     /// stage-appropriate steal policy.
     pub fn vfi_mesh_spec(&self, design: &Design, stage: VfStage) -> SystemSpec {
+        self.vfi_mesh_spec_with_mapping(design, stage, self.min_hop_mapping(design))
+    }
+
+    /// [`Self::vfi_mesh_spec`] around a given thread `mapping`, which must
+    /// be [`Self::min_hop_mapping`] of `design` (computed once, it serves
+    /// both VFI stages).
+    pub fn vfi_mesh_spec_with_mapping(
+        &self,
+        design: &Design,
+        stage: VfStage,
+        mapping: ThreadMapping,
+    ) -> SystemSpec {
         let cfg = &self.cfg;
-        let mapping = self.min_hop_mapping(design);
         SystemSpec {
             label: match stage {
                 VfStage::Vfi1 => "VFI 1 Mesh".into(),
@@ -258,6 +270,14 @@ impl DesignFlow {
     /// around the islands' traffic, wireless overlay placed by `strategy`,
     /// and the VFI 2 operating points.
     pub fn winoc_spec(&self, design: &Design, strategy: PlacementStrategy) -> SystemSpec {
+        let topology = self.winoc_topology(design);
+        let (overlay, mapping, routing) = self.winoc_placement(design, &topology, strategy);
+        self.winoc_spec_with_placement(design, strategy, topology, overlay, mapping, routing)
+    }
+
+    /// The small-world wireline network of the VFI WiNoC, built around
+    /// the islands' inter-cluster traffic.
+    pub fn winoc_topology(&self, design: &Design) -> Topology {
         let cfg = &self.cfg;
         let quadrant_labels: Vec<usize> = Clustering::grid_quadrants(cfg.cols, cfg.rows)
             .as_slice()
@@ -266,7 +286,7 @@ impl DesignFlow {
             .profile
             .traffic
             .cluster_rates(design.clustering.as_slice(), cfg.clusters);
-        let topology = SmallWorldBuilder::new(
+        SmallWorldBuilder::new(
             grid_positions(cfg.cols, cfg.rows, cfg.tile_mm),
             quadrant_labels,
         )
@@ -276,12 +296,24 @@ impl DesignFlow {
         .inter_traffic(cluster_traffic)
         .seed(cfg.seed)
         .build()
-        .expect("validated configuration builds a connected WiNoC");
+        .expect("validated configuration builds a connected WiNoC")
+    }
 
+    /// WI placement and thread mapping by `strategy` over the WiNoC's
+    /// wireline `topology`. Also returns the overlay's routing table when
+    /// the strategy had to build it (maximised wireless utilisation
+    /// refines the mapping against routed distance).
+    pub fn winoc_placement(
+        &self,
+        design: &Design,
+        topology: &Topology,
+        strategy: PlacementStrategy,
+    ) -> (WirelessOverlay, ThreadMapping, Option<RoutingTable>) {
+        let cfg = &self.cfg;
         // Scales with the die edge (3 on 8×8, 6 on 16×16, 12 on 32×32);
         // identical to the paper's min(3, wis_per_cluster) on ≤ 8×8 dies.
         let channels = cfg.wi_channels();
-        let (overlay, mapping) = match strategy {
+        match strategy {
             PlacementStrategy::MinHopCount => {
                 // Minimise distance over the *actual* wireline graph, not
                 // die geometry: a power-law network's neighbours are not
@@ -297,7 +329,7 @@ impl DesignFlow {
                 );
                 let physical = mapping.traffic_to_tiles(&design.profile.traffic);
                 let overlay = anneal_wi_placement(
-                    &topology,
+                    topology,
                     &physical,
                     cfg.cols,
                     cfg.rows,
@@ -305,7 +337,7 @@ impl DesignFlow {
                     channels,
                     cfg.seed,
                 );
-                (overlay, mapping)
+                (overlay, mapping, None)
             }
             PlacementStrategy::MaxWirelessUtilization => {
                 let overlay = center_wis(
@@ -328,28 +360,31 @@ impl DesignFlow {
                     cfg.cols,
                     cfg.rows,
                 );
-                let table = RoutingTable::up_down_weighted(
-                    &topology,
-                    &overlay,
-                    crate::placement::WINOC_HUB_EDGE_WEIGHT,
-                )
-                .expect("WiNoC is connected");
+                let table = winoc_routing(topology, &overlay);
                 let mapping = refine_mapping_min_hop(
                     seeded,
                     &design.clustering,
                     &design.profile.traffic,
                     |a: NodeId, b: NodeId| table.distance(a, b) as f64,
                 );
-                (overlay, mapping)
+                (overlay, mapping, Some(table))
             }
-        };
-        let routing = RoutingTable::up_down_weighted(
-            &topology,
-            &overlay,
-            crate::placement::WINOC_HUB_EDGE_WEIGHT,
-        )
-        .expect("WiNoC is connected");
+        }
+    }
 
+    /// [`Self::winoc_spec`] from a placement [`Self::winoc_placement`]
+    /// made over `topology`; `routing` is the overlay's routing table if
+    /// already built, else it is built here.
+    pub fn winoc_spec_with_placement(
+        &self,
+        design: &Design,
+        strategy: PlacementStrategy,
+        topology: Topology,
+        overlay: WirelessOverlay,
+        mapping: ThreadMapping,
+        routing: Option<RoutingTable>,
+    ) -> SystemSpec {
+        let routing = routing.unwrap_or_else(|| winoc_routing(&topology, &overlay));
         SystemSpec {
             label: format!("VFI WiNoC ({strategy})"),
             topology,
@@ -364,7 +399,7 @@ impl DesignFlow {
 
     /// The methodology-1 thread mapping: minimise traffic-weighted mesh
     /// distance within the quadrant constraint.
-    fn min_hop_mapping(&self, design: &Design) -> ThreadMapping {
+    pub fn min_hop_mapping(&self, design: &Design) -> ThreadMapping {
         let cfg = &self.cfg;
         let cols = cfg.cols;
         let base = initial_mapping(&design.clustering, cfg.cols, cfg.rows);
@@ -379,6 +414,12 @@ impl DesignFlow {
             },
         )
     }
+}
+
+/// Up/down routing over a WiNoC's wireline topology and wireless overlay.
+fn winoc_routing(topology: &Topology, overlay: &WirelessOverlay) -> RoutingTable {
+    RoutingTable::up_down_weighted(topology, overlay, crate::placement::WINOC_HUB_EDGE_WEIGHT)
+        .expect("WiNoC is connected")
 }
 
 #[cfg(test)]

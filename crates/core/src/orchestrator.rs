@@ -1,10 +1,10 @@
 //! Harness integration: stable configuration keys, the stage caches, and
-//! cached design/run stages for the job-graph dispatch in
+//! cached design/run/placement stages for the job-graph dispatch in
 //! [`crate::experiments`].
 //!
 //! Every expensive stage of the evaluation is a pure function of the
 //! [`PlatformConfig`] plus a small set of discrete inputs (the application,
-//! the system variant). The caches therefore key semantically —
+//! the system variant or placement). The caches therefore key semantically —
 //! `(config key, app, variant)` — instead of hashing the large derived
 //! structures ([`Design`], [`crate::system::SystemSpec`]), which is sound
 //! because those are themselves deterministic functions of the same key.
@@ -26,6 +26,8 @@ use crate::design_flow::{Design, DesignFlow, VfStage};
 use crate::system::{run_system, RunReport};
 use mapwave_harness::cache::{CacheStats, StageCache};
 use mapwave_harness::hash::{CacheKey, StableHash, StableHasher};
+use mapwave_manycore::mapping::ThreadMapping;
+use mapwave_noc::topology::wireless::WirelessOverlay;
 use mapwave_phoenix::apps::App;
 
 impl StableHash for PlacementStrategy {
@@ -123,21 +125,49 @@ impl RunVariant {
     }
 
     /// Builds this variant's [`crate::system::SystemSpec`] from a design.
+    ///
+    /// The thread mapping (and a WiNoC's wireless overlay) comes from the
+    /// placement cache, computed once per `(config, app, placement)`
+    /// process-wide — the VFI 1 and VFI 2 meshes share one mapping — so
+    /// `design` must be the design of its app under `flow`'s configuration,
+    /// as for [`run_cached`].
     pub fn spec(self, flow: &DesignFlow, design: &Design) -> crate::system::SystemSpec {
+        let _span = mapwave_harness::telemetry::span_labeled("core.spec", self.name());
+        let key = |kind: &str| placement_key(config_key(flow.config()), design.app, kind);
+        let mesh_mapping = || {
+            PLACEMENT_CACHE
+                .get_or_insert_with(key("mesh-min-hop"), || {
+                    (WirelessOverlay::none(), flow.min_hop_mapping(design))
+                })
+                .1
+        };
+        let winoc = |strategy: PlacementStrategy| {
+            let topology = flow.winoc_topology(design);
+            let mut routing = None;
+            let (overlay, mapping) = PLACEMENT_CACHE.get_or_insert_with(key(self.name()), || {
+                let (overlay, mapping, table) = flow.winoc_placement(design, &topology, strategy);
+                routing = table;
+                (overlay, mapping)
+            });
+            flow.winoc_spec_with_placement(design, strategy, topology, overlay, mapping, routing)
+        };
         match self {
             RunVariant::Nvfi => flow.nvfi_spec(),
-            RunVariant::Vfi1Mesh => flow.vfi_mesh_spec(design, VfStage::Vfi1),
-            RunVariant::VfiMesh => flow.vfi_mesh_spec(design, VfStage::Vfi2),
-            RunVariant::WinocMinHop => flow.winoc_spec(design, PlacementStrategy::MinHopCount),
-            RunVariant::WinocMaxWireless => {
-                flow.winoc_spec(design, PlacementStrategy::MaxWirelessUtilization)
+            RunVariant::Vfi1Mesh => {
+                flow.vfi_mesh_spec_with_mapping(design, VfStage::Vfi1, mesh_mapping())
             }
+            RunVariant::VfiMesh => {
+                flow.vfi_mesh_spec_with_mapping(design, VfStage::Vfi2, mesh_mapping())
+            }
+            RunVariant::WinocMinHop => winoc(PlacementStrategy::MinHopCount),
+            RunVariant::WinocMaxWireless => winoc(PlacementStrategy::MaxWirelessUtilization),
         }
     }
 }
 
 static DESIGN_CACHE: StageCache<Design> = StageCache::new("design");
 static RUN_CACHE: StageCache<RunReport> = StageCache::new("run");
+static PLACEMENT_CACHE: StageCache<(WirelessOverlay, ThreadMapping)> = StageCache::new("placement");
 
 fn design_key(cfg_key: CacheKey, app: App) -> CacheKey {
     mapwave_harness::hash::stable_hash_of(&("design", cfg_key.to_hex(), app.name()))
@@ -145,6 +175,10 @@ fn design_key(cfg_key: CacheKey, app: App) -> CacheKey {
 
 fn run_key(cfg_key: CacheKey, app: App, variant: RunVariant) -> CacheKey {
     mapwave_harness::hash::stable_hash_of(&("run", cfg_key.to_hex(), app.name(), variant.name()))
+}
+
+fn placement_key(cfg_key: CacheKey, app: App, kind: &str) -> CacheKey {
+    mapwave_harness::hash::stable_hash_of(&("placement", cfg_key.to_hex(), app.name(), kind))
 }
 
 /// The design for `app` under `flow`'s configuration, computed once per
@@ -186,6 +220,7 @@ pub fn cache_stats() -> Vec<(&'static str, CacheStats)> {
     vec![
         (DESIGN_CACHE.name(), DESIGN_CACHE.stats()),
         (RUN_CACHE.name(), RUN_CACHE.stats()),
+        (PLACEMENT_CACHE.name(), PLACEMENT_CACHE.stats()),
     ]
 }
 
@@ -194,7 +229,7 @@ pub fn cache_stats_summary() -> String {
     let mut out = String::new();
     for (name, s) in cache_stats() {
         out.push_str(&format!(
-            "cache {name:<8} hits {:>6}  misses {:>6}  hit-rate {:>5.1}%\n",
+            "cache {name:<9} hits {:>6}  misses {:>6}  hit-rate {:>5.1}%\n",
             s.hits,
             s.misses,
             s.hit_rate() * 100.0
@@ -203,10 +238,11 @@ pub fn cache_stats_summary() -> String {
     out
 }
 
-/// Empties both stage caches (statistics are kept; primarily for tests).
+/// Empties every stage cache and zeroes its statistics.
 pub fn clear_caches() {
     DESIGN_CACHE.clear();
     RUN_CACHE.clear();
+    PLACEMENT_CACHE.clear();
 }
 
 #[cfg(test)]
@@ -308,11 +344,41 @@ mod tests {
             design_key(k, App::WordCount),
             run_key(k, App::WordCount, RunVariant::Nvfi)
         );
+        assert_ne!(
+            run_key(k, App::WordCount, RunVariant::WinocMinHop),
+            placement_key(k, App::WordCount, RunVariant::WinocMinHop.name())
+        );
         let runs: std::collections::BTreeSet<String> = RunVariant::ALL
             .iter()
             .map(|&v| run_key(k, App::WordCount, v).to_hex())
             .collect();
         assert_eq!(runs.len(), 5, "each variant has a distinct key");
+    }
+
+    #[test]
+    fn cached_specs_equal_the_uncached_flow() {
+        let flow =
+            DesignFlow::new(PlatformConfig::small().with_scale(0.002).with_seed(0x5EC)).unwrap();
+        let design = design_cached(&flow, App::WordCount);
+        let uncached = [
+            flow.nvfi_spec(),
+            flow.vfi_mesh_spec(&design, VfStage::Vfi1),
+            flow.vfi_mesh_spec(&design, VfStage::Vfi2),
+            flow.winoc_spec(&design, PlacementStrategy::MinHopCount),
+            flow.winoc_spec(&design, PlacementStrategy::MaxWirelessUtilization),
+        ];
+        // The first pass misses (but for the second mesh), the second hits.
+        for _ in 0..2 {
+            for (variant, want) in RunVariant::ALL.iter().zip(&uncached) {
+                let got = variant.spec(&flow, &design);
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "{}",
+                    variant.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -103,7 +103,10 @@ impl<V: Clone> StageCache<V> {
     ///
     /// The lock is **not** held during `compute`: concurrent workers missing
     /// the same key compute redundantly (identical results by determinism)
-    /// rather than serialising the whole pool on one entry.
+    /// rather than serialising the whole pool on one entry. Job graphs
+    /// therefore declare the stages their jobs share as dependencies — one
+    /// job computes the entry, its dependents hit it — so a shared entry is
+    /// never raced for.
     pub fn get_or_insert_with(&self, key: CacheKey, compute: impl FnOnce() -> V) -> V {
         {
             let guard = self.map.lock().expect("stage cache poisoned");
@@ -403,6 +406,7 @@ mod tests {
 
     #[test]
     fn disk_cache_counts_corrupt_evictions() {
+        let _guard = crate::telemetry::tests::lock();
         telemetry::enable();
         let dir =
             std::env::temp_dir().join(format!("mapwave-disk-cache-count-{}", std::process::id()));

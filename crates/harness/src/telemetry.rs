@@ -311,13 +311,21 @@ fn escape_json(s: &str) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Serialises the crate's tests that switch telemetry on or off: the
+    /// switch is process-global and the test runner is parallel.
+    pub(crate) fn lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     // Telemetry state is process-global, so exercise everything from one
     // test to avoid cross-test interference under the parallel test runner.
     #[test]
     fn spans_counters_and_exports_work_end_to_end() {
+        let _guard = lock();
         reset();
         // Disabled: nothing records.
         disable();
@@ -339,8 +347,12 @@ mod tests {
         }
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let _s = span("t.stage");
-                count("t.events", 10);
+                {
+                    let _s = span("t.stage");
+                    count("t.events", 10);
+                }
+                // Flush once the span has closed: a scope can end before
+                // the thread-local store's exit-time merge runs.
                 flush();
             });
         });

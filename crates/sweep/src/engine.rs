@@ -21,16 +21,23 @@
 //! [`mapwave_harness::jobs::JobGraph::run_checkpointed`]) no matter how
 //! many workers ran, so the manifest of an interrupted-then-resumed sweep
 //! is byte-identical to an uninterrupted one.
+//!
+//! Stages that cells share are job-graph dependencies, not racing cache
+//! misses: one design job per `(config, app)` precedes that app's cells,
+//! and a fault-free capped cell waits for its uncapped twin, whose run it
+//! governs. Design jobs commit nothing; every count is of cells.
 
+use std::collections::HashMap;
 use std::io;
 
 use mapwave::design_flow::DesignFlow;
 use mapwave::governed::govern;
-use mapwave::orchestrator::{design_cached, run_cached, RunVariant};
+use mapwave::orchestrator::{config_key, design_cached, run_cached, RunVariant};
 use mapwave::{run_system_with_faults, FaultRunReport};
 use mapwave_faults::{CellFailureModel, FaultConfig, FaultPlan, FaultStats};
 use mapwave_governor::GovernorConfig;
-use mapwave_harness::jobs::JobGraph;
+use mapwave_harness::hash::CacheKey;
+use mapwave_harness::jobs::{JobGraph, JobId};
 use mapwave_harness::telemetry;
 
 use crate::codec::{CellCoords, CellRecord};
@@ -192,20 +199,55 @@ impl SweepEngine {
         }
 
         // One job per pending cell, added in ascending index order so the
-        // checkpoint committer sees them in exactly that order.
-        let mut graph: JobGraph<(SweepCell, CellOutcome)> = JobGraph::new();
+        // checkpoint committer sees them in exactly that order, with the
+        // shared stages (module docs) as dependencies. A design job goes
+        // just before its app's first cell, so at one worker the order of
+        // work is that of a plain per-cell loop.
+        let mut graph: JobGraph<Option<(SweepCell, CellOutcome)>> = JobGraph::new();
+        let mut design_jobs: HashMap<(CacheKey, &'static str), JobId> = HashMap::new();
+        let mut anchor_jobs: HashMap<CacheKey, JobId> = HashMap::new();
         for cell in pending {
+            let cfg = cell.config().with_sim_threads(self.opts.sim_threads.max(1));
+            let app = cell.app;
+            let design = *design_jobs
+                .entry((config_key(&cfg), app.name()))
+                .or_insert_with(|| {
+                    graph.add(format!("design/{}", app.name()), Vec::new(), move |_| {
+                        if let Ok(flow) = DesignFlow::new(cfg) {
+                            design_cached(&flow, app);
+                        }
+                        None
+                    })
+                });
+            let twin = match cell.power_cap_w {
+                Some(_) if cell.fault_rate == 0.0 => {
+                    let anchor = SweepCell {
+                        power_cap_w: None,
+                        ..cell
+                    };
+                    anchor_jobs.get(&anchor.key()).copied()
+                }
+                _ => None,
+            };
+            let deps = std::iter::once(design).chain(twin).collect();
             let opts = self.opts.clone();
-            graph.add(cell.label(), Vec::new(), move |_| {
-                (cell, execute_cell(&cell, &opts))
+            let id = graph.add(cell.label(), deps, move |_| {
+                Some((cell, execute_cell(&cell, &opts)))
             });
+            if cell.fault_rate == 0.0 && cell.power_cap_w.is_none() {
+                anchor_jobs.insert(cell.key(), id);
+            }
         }
 
         let mut completed = 0usize;
         let mut dead_lettered = 0usize;
         let mut commit_error: Option<io::Error> = None;
         let limit = self.opts.commit_limit.unwrap_or(usize::MAX);
-        let committed = graph.run_checkpointed(self.opts.jobs, |_, (cell, outcome)| {
+        graph.run_checkpointed(self.opts.jobs, |_, out| {
+            // Design jobs only warm the design cache: nothing to commit.
+            let Some((cell, outcome)) = out else {
+                return true;
+            };
             let result = self.commit_cell(cell, outcome);
             match result {
                 Ok(CellState::Ok { .. }) => completed += 1,
@@ -224,7 +266,7 @@ impl SweepEngine {
         Ok(RunSummary {
             completed,
             dead_lettered,
-            pending: total_pending - committed,
+            pending: total_pending - completed - dead_lettered,
         })
     }
 
